@@ -37,7 +37,7 @@ Correctness contract (pinned by ``tests/test_dist.py`` and the CI
 ``N`` worker subprocesses (or in-process threads for tests).
 """
 
-from repro.dist.board import DEFAULT_LEASE_TIMEOUT, ShardBoard
+from repro.dist.board import DEFAULT_LEASE_TIMEOUT, CompletionRejected, ShardBoard
 from repro.dist.coordinator import DistCoordinator, active_coordinators
 from repro.dist.launch import DistributedSweepError, run_distributed_sweep, spawn_worker
 from repro.dist.protocol import (
@@ -51,6 +51,7 @@ from repro.dist.worker import run_worker
 
 __all__ = [
     "DEFAULT_LEASE_TIMEOUT",
+    "CompletionRejected",
     "ShardBoard",
     "DistCoordinator",
     "active_coordinators",

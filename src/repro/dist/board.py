@@ -59,6 +59,10 @@ class ClaimResult:
     retry_after: float = 0.0
 
 
+class CompletionRejected(ValueError):
+    """A completion that names no shard of the plan or the wrong spec's record."""
+
+
 @dataclass
 class BoardCounters:
     """Race bookkeeping surfaced through the coordinator's status."""
@@ -159,10 +163,28 @@ class ShardBoard:
         A completion from an *expired* lease is still accepted when the
         shard is not yet done — the record is a pure function of the spec,
         so whichever attempt finishes first is as good as any other
-        (at-least-once execution, exactly-once results).
+        (at-least-once execution, exactly-once results).  A completion that
+        names no shard of this plan, or carries another spec's record,
+        raises :class:`CompletionRejected` and changes nothing.
         """
+        from repro.store.keys import spec_key
+
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise CompletionRejected(f"completion index must be an integer, got {index!r}")
+        if not 0 <= index < len(self.shards):
+            raise CompletionRejected(
+                f"completion index {index} is out of range for a plan of "
+                f"{len(self.shards)} shards"
+            )
+        shard = self.shards[index]
+        key = spec_key(record.spec)
+        if key != shard.spec_key:
+            raise CompletionRejected(
+                f"completion for shard {index} ({shard.spec.key}, spec_key "
+                f"{shard.spec_key}) carries a record of {record.spec.key} "
+                f"(spec_key {key})"
+            )
         with self._lock:
-            shard = self.shards[index]
             if shard.state == DONE:
                 self.counters.duplicate_completions += 1
                 return False

@@ -28,7 +28,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, TYPE_CHECKING
 
-from repro.dist.board import DEFAULT_LEASE_TIMEOUT, ShardBoard
+from repro.dist.board import DEFAULT_LEASE_TIMEOUT, CompletionRejected, ShardBoard
 from repro.dist.protocol import read_frame, write_frame
 from repro.experiments.plan import ExperimentPlan
 from repro.experiments.sweep import ExperimentRecord, SweepResult
@@ -97,12 +97,16 @@ class _ShardHandler(socketserver.StreamRequestHandler):
                 alive = coordinator.board.heartbeat(str(frame.get("lease", "")))
                 write_frame(self.wfile, {"type": "ok" if alive else "expired"})
             elif kind == "complete":
-                accepted = coordinator.complete(
-                    int(frame["index"]),
-                    frame["record"],  # type: ignore[arg-type]
-                    worker=str(frame.get("worker", "?")),
-                )
-                write_frame(self.wfile, {"type": "ok", "accepted": accepted})
+                try:
+                    accepted = coordinator.complete(
+                        frame.get("index"),  # type: ignore[arg-type]
+                        frame.get("record"),  # type: ignore[arg-type]
+                        worker=str(frame.get("worker", "?")),
+                    )
+                except CompletionRejected as exc:
+                    write_frame(self.wfile, {"type": "reject", "reason": str(exc)})
+                else:
+                    write_frame(self.wfile, {"type": "ok", "accepted": accepted})
             else:
                 write_frame(
                     self.wfile,
@@ -281,7 +285,13 @@ class DistCoordinator:
     def complete(
         self, index: int, record_data: Dict[str, object], worker: str = "?"
     ) -> bool:
-        record = ExperimentRecord.from_dict(record_data)
+        """Accept one worker completion; :class:`CompletionRejected` names a bad one."""
+        if not isinstance(record_data, dict):
+            raise CompletionRejected(f"completion record must be an object, got {record_data!r}")
+        try:
+            record = ExperimentRecord.from_dict(record_data)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CompletionRejected(f"completion record does not parse: {exc!r}") from exc
         accepted = self.board.complete(index, record, worker=worker)
         if accepted:
             if self.store is not None:

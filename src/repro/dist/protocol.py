@@ -20,7 +20,9 @@ Frame types (worker → coordinator, with the coordinator's replies):
                       live, ``expired`` once it lapsed (the shard may have
                       been re-issued).
 ``complete``          deliver a finished record; replied ``ok`` with
-                      ``accepted: false`` for duplicate completions.
+                      ``accepted: false`` for duplicate completions, or
+                      ``reject`` (reason) when the index names no shard,
+                      the record is another spec's or does not parse.
 ``status``            progress snapshot; needs no handshake (monitoring).
 ====================  =====================================================
 
@@ -175,6 +177,8 @@ class CoordinatorClient:
                 "record": record,
             }
         )
+        if reply.get("type") == "reject":
+            raise ProtocolError(f"completion rejected: {reply.get('reason')}")
         return bool(reply.get("accepted"))
 
     def status(self) -> Dict[str, object]:

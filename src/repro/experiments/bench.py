@@ -181,15 +181,22 @@ def run_fixed_sweep(
 
     Each case is run ``repeats`` times; ``seconds`` is the minimum (the
     repeats are listed under ``seconds_all``), matching how the recorded
-    baselines were measured.  With ``measure_rss=True`` every vectorized
-    case additionally runs once in a fresh subprocess to record its cold
-    ``peak_rss_mb`` (the memory-budget contract's observable).
+    baselines were measured.  Every repeat of a vectorized case starts from
+    an empty table-provider cache, so it pays the table hashing a fresh
+    spec pays instead of reading the previous repeat's tables.  With
+    ``measure_rss=True`` every vectorized case additionally runs once in a
+    fresh subprocess to record its cold ``peak_rss_mb`` (the memory-budget
+    contract's observable).
     """
+    from repro.vec import tables as vec_tables
+
     cases = []
     for spec in specs:
         times = []
         result = None
         for _ in range(max(1, repeats)):
+            if spec.backend == "vectorized":
+                vec_tables._PROVIDER_CACHE.clear()
             start = time.perf_counter()
             result = spec.run()
             times.append(round(time.perf_counter() - start, 3))

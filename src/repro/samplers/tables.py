@@ -86,6 +86,10 @@ class LRUCache(Generic[K, V]):
         self.put(key, value)
         return value
 
+    def clear(self) -> None:
+        """Drop every entry (the counters keep counting)."""
+        self._data.clear()
+
     def keys(self):
         """Current keys, coldest first (for tests and diagnostics)."""
         return list(self._data.keys())

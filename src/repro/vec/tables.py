@@ -37,6 +37,8 @@ import numpy as np
 from repro.core.config import AERConfig
 from repro.samplers.tables import LRUCache
 from repro.vec.bitpack import bits_for, pack_rows, packed_width, unpack_rows
+# batch_digest_mod is bound here too: the benchmark's tracer (perfbench/layers.py)
+# wraps both hashing entry points by their names in this module
 from repro.vec.hashing import batch_digest_mod, encode_parts, first_distinct_rows
 
 #: below this system size the exact Python samplers are cheaper than spinning
@@ -260,14 +262,6 @@ class VecSamplerTables:
         for i in range(len(xs)):
             rows[i] = poll_list(int(xs[i]), int(labels[i]))
         return rows
-
-    # ------------------------------------------------------------------
-    # batched raw draws (exposed for tests and future samplers)
-    # ------------------------------------------------------------------
-    def raw_draws(self, family: str, s: str, xs: np.ndarray, counters: np.ndarray) -> np.ndarray:
-        """``stable_hash(seed, family, s, x, counter) % n`` for each pair."""
-        prefix = encode_parts(self.config.sampler_seed, family, s)
-        return batch_digest_mod(prefix, [xs, counters], self.n)
 
 
 def tables_for(config: AERConfig, use_numpy: Optional[bool] = None) -> VecSamplerTables:

@@ -26,6 +26,7 @@ import threading
 import pytest
 
 from repro.dist import (
+    CompletionRejected,
     CoordinatorClient,
     DistCoordinator,
     ProtocolError,
@@ -50,6 +51,8 @@ def _pinned_fingerprint(monkeypatch):
 
 
 PLAN = ExperimentPlan(ns=(24,), adversaries=("none", "silent"), seeds=(3,))
+#: a spec that is not in PLAN
+FOREIGN = ExperimentPlan(ns=(32,), seeds=(9,)).specs()[0]
 
 
 class FakeClock:
@@ -128,6 +131,41 @@ class TestShardBoard:
         assert not board.complete(0, record, worker="w2")
         assert board.counters.duplicate_completions == 1
         assert board.counters.completed_by == {"w1": 1}
+
+    @pytest.mark.parametrize("index", [-1, 2, 99])
+    def test_completion_outside_the_plan_is_rejected(self, index):
+        board = _board(FakeClock())
+        board.claim("w1")
+        record = execute_spec(PLAN.specs()[0])
+        with pytest.raises(CompletionRejected, match=f"index {index} is out of range"):
+            board.complete(index, record, worker="w1")
+        assert board.counts()["done"] == 0
+        assert board.counters.completed_by == {}
+
+    def test_negative_index_with_a_foreign_record_is_rejected(self):
+        # index -1 used to alias the last shard and store the foreign record
+        board = _board(FakeClock())
+        with pytest.raises(CompletionRejected, match="out of range"):
+            board.complete(-1, execute_spec(FOREIGN), worker="w1")
+        assert all(shard.record is None for shard in board.shards)
+
+    def test_completion_with_another_specs_record_is_rejected(self):
+        board = _board(FakeClock())
+        shard = board.claim("w1").shard
+        other = PLAN.specs()[1]
+        with pytest.raises(CompletionRejected) as excinfo:
+            board.complete(shard.index, execute_spec(other), worker="w1")
+        message = str(excinfo.value)
+        assert shard.spec.key in message and other.key in message
+        assert shard.state == "leased" and shard.record is None
+        # the right record still lands afterwards
+        assert board.complete(shard.index, execute_spec(shard.spec), worker="w1")
+
+    @pytest.mark.parametrize("index", [None, "0", 0.0, True])
+    def test_non_integer_index_is_rejected(self, index):
+        board = _board(FakeClock())
+        with pytest.raises(CompletionRejected, match="must be an integer"):
+            board.complete(index, execute_spec(PLAN.specs()[0]))
 
     def test_served_shards_are_never_issued(self):
         board = _board(FakeClock())
@@ -216,6 +254,29 @@ class TestCoordinatorTCP:
             with CoordinatorClient(coord.address, worker="rude") as client:
                 with pytest.raises(ProtocolError, match="handshake required"):
                     client.claim()
+
+    def test_bad_completion_frames_are_rejected_by_name(self):
+        good = execute_spec(PLAN.specs()[0]).to_dict()
+        foreign = execute_spec(FOREIGN).to_dict()
+        bad_frames = {
+            "out of range": {"index": -1, "record": foreign},
+            "must be an integer": {"record": good},
+            "carries a record of": {"index": 0, "record": foreign},
+            "does not parse": {"index": 0, "record": {"spec": {"bogus": 1}}},
+            "must be an object": {"index": 0},
+        }
+        with DistCoordinator(PLAN) as coord:
+            with CoordinatorClient(coord.address, worker="w1") as client:
+                client.hello()
+                lease = client.claim()
+                for reason, frame in bad_frames.items():
+                    reply = client._rpc({"type": "complete", "worker": "w1", **frame})
+                    assert reply["type"] == "reject" and reason in reply["reason"]
+                with pytest.raises(ProtocolError, match="completion rejected"):
+                    client.complete(lease["lease"], 5, good)
+                # the connection survived every rejection, and nothing landed
+                assert coord.status()["done"] == 0
+                assert client.complete(lease["lease"], 0, good)
 
     def test_status_needs_no_handshake_and_registry_lists_it(self):
         with DistCoordinator(PLAN) as coord:

@@ -244,6 +244,39 @@ def test_report_repeats_reflect_flag():
     assert "minimum of 2 runs" in report["description"]
 
 
+def test_fixed_sweep_repeats_hash_tables_cold(monkeypatch):
+    # every repeat of a vectorized case must pay the table hashing, or the
+    # reported minimum is a warm-table time
+    import repro.vec.tables as vec_tables
+    from repro.experiments.bench import run_fixed_sweep
+    from repro.experiments.plan import ExperimentSpec
+
+    hashed_rows = []
+    real_rows = vec_tables.first_distinct_rows
+
+    def counting_rows(prefix, columns, *args, **kwargs):
+        hashed_rows.append(len(columns[0]))
+        return real_rows(prefix, columns, *args, **kwargs)
+
+    marks = []
+    real_run = ExperimentSpec.run
+
+    def marking_run(self):
+        marks.append(len(hashed_rows))
+        return real_run(self)
+
+    monkeypatch.setattr(vec_tables, "first_distinct_rows", counting_rows)
+    monkeypatch.setattr(ExperimentSpec, "run", marking_run)
+    spec = ExperimentSpec(n=1024, adversary="none", mode="sync", seed=0,
+                          wrong_candidate_mode="common_wrong",
+                          backend="vectorized")
+    (case,) = run_fixed_sweep(repeats=2, specs=[spec])
+    marks.append(len(hashed_rows))
+    assert len(case["seconds_all"]) == 2
+    first, second = (sum(hashed_rows[a:b]) for a, b in zip(marks, marks[1:]))
+    assert first > 0 and second == first
+
+
 def test_measure_peak_rss_smoke():
     from repro.experiments.bench import measure_peak_rss
     from repro.experiments.plan import ExperimentSpec
