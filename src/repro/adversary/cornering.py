@@ -24,7 +24,7 @@ from typing import List, Optional, Set
 from repro.adversary.base import Adversary, AdversaryKnowledge
 from repro.adversary.registry import register_adversary
 from repro.core.messages import PollMessage, PullMessage
-from repro.net.simulator import SendRecord
+from repro.net.kernel import SendRecord
 from repro.net.asynchronous import MIN_DELAY
 
 

@@ -16,7 +16,7 @@ from repro.adversary.registry import register_adversary
 from repro.core.messages import AnswerMessage, PollMessage, PushMessage
 from repro.net.messages import Message
 from repro.net.rng import random_bitstring
-from repro.net.simulator import SendRecord
+from repro.net.kernel import SendRecord
 
 
 @register_adversary("silent")

@@ -27,13 +27,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.statistics import distributions_equivalent, mean_ci
+from repro.backends import BACKENDS
 from repro.runner import run_aer_experiment
 
 #: metrics whose cross-seed distributions the statistical check compares
 STATISTICAL_METRICS = ("rounds", "total_bits", "total_messages", "decided_fraction")
 
 #: adversaries with exact (bit-for-bit) vectorized replay of the kernel
-EXACT_ADVERSARIES = ("none", "silent", "push_flood", "quorum_flood")
+EXACT_ADVERSARIES = tuple(
+    name for name in BACKENDS["vectorized"].adversaries["aer"]  # type: ignore[index]
+    if name not in BACKENDS["vectorized"].statistical
+)
 
 
 def _run(n: int, adversary: str, seed: int, backend: str, wrong_candidate_mode: str):

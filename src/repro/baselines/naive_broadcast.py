@@ -18,7 +18,7 @@ from repro.core.scenario import AERScenario
 from repro.net.messages import Message, SizeModel
 from repro.net.node import Node
 from repro.net.results import SimulationResult
-from repro.net.simulator import AdversaryProtocol
+from repro.net.kernel import AdversaryProtocol
 from repro.net.sync import SynchronousSimulator
 
 

@@ -6,8 +6,9 @@ a ``ThreadingTCPServer`` speaking the newline-delimited JSON protocol of
 
 1. the plan is validated and sharded in **plan order**;
 2. result-store hits (then ``--resume`` seed records) are served
-   immediately — *before the server even listens*, so a fully warm plan
-   never issues a shard;
+   immediately through :func:`~repro.experiments.sweep.serve_plan` — the
+   same path a local sweep takes — *before the server even listens*, so a
+   fully warm plan never issues a shard;
 3. :meth:`start` binds the socket (port ``0`` = ephemeral) and worker
    connections claim/heartbeat/complete against the board;
 4. every accepted completion is flushed to the store incrementally
@@ -31,7 +32,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, TYPE_CHECKING
 from repro.dist.board import DEFAULT_LEASE_TIMEOUT, CompletionRejected, ShardBoard
 from repro.dist.protocol import read_frame, write_frame
 from repro.experiments.plan import ExperimentPlan
-from repro.experiments.sweep import ExperimentRecord, SweepResult
+from repro.experiments.sweep import ExperimentRecord, SweepResult, serve_plan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import ResultStore
@@ -173,26 +174,10 @@ class DistCoordinator:
         self.board = ShardBoard(specs, lease_timeout=lease_timeout, clock=clock)
         # Store hits (then resume seeds) are served before the server ever
         # listens: a warm plan issues zero shards and needs zero workers.
-        if store is not None:
-            for index, hit in enumerate(store.get_many(specs)):
-                if hit is not None:
-                    self._serve(index, hit, "store")
-        if seed_records:
-            from repro.store.keys import spec_key
-
-            for index, spec in enumerate(specs):
-                shard = self.board.shards[index]
-                if shard.state != "done":
-                    hit = seed_records.get(spec_key(spec))
-                    if hit is not None:
-                        self._serve(index, hit, "resume")
-                        if store is not None:
-                            store.put(hit)
-
-    def _serve(self, index: int, record: ExperimentRecord, source: str) -> None:
-        self.board.serve(index, record, source)
-        if self._on_record is not None:
-            self._on_record(index, record, True)
+        for index, record, source in serve_plan(specs, store, seed_records):
+            self.board.serve(index, record, source)
+            if on_record is not None:
+                on_record(index, record, True)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -73,7 +73,7 @@ Subcommands
     Run the report sections and generate the living reproduction document::
 
         python -m repro report --quick -o EXPERIMENTS.md
-        python -m repro report --sections figure1a,lemma8 --cache .report-cache -o -
+        python -m repro report --sections figure1a,lemma8 --store .report-store.sqlite -o -
 
 ``registries``
     Render the auto-generated registry reference (all five registries)::
@@ -114,6 +114,7 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.experiments import compare_rows, format_table, run_result_row
+from repro.backends import BACKENDS, ORACLE
 from repro.experiments.bench import write_report
 from repro.experiments.plan import ExperimentPlan, ExperimentSpec
 from repro.experiments.sweep import run_sweep
@@ -146,11 +147,10 @@ def _parse_params(
 def _add_shared_spec_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
-        default="message",
-        choices=["message", "vectorized"],
-        help="engine backend: 'message' (per-message kernel, the oracle) or "
-             "'vectorized' (whole-round numpy engine; sync, non-rushing, "
-             "untraced protocols only)",
+        default=ORACLE,
+        choices=list(BACKENDS),
+        help="engine backend: "
+        + "; or ".join(f"'{name}' ({row.describe()})" for name, row in BACKENDS.items()),
     )
     parser.add_argument("--rushing", action="store_true", help="rushing sync adversary")
     parser.add_argument("--t", type=int, default=None, help="number of Byzantine nodes")
@@ -337,11 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "-o", "--out", default="EXPERIMENTS.md",
         help="output path ('-' prints to stdout; default: EXPERIMENTS.md)",
-    )
-    report.add_argument(
-        "--cache", default=None, metavar="DIR",
-        help="DEPRECATED: forwards to --store DIR/report-store.sqlite "
-             "(the whole-plan JSON cache was replaced by per-spec store lookups)",
     )
     report.add_argument(
         "--store", default=None, metavar="PATH",
@@ -684,7 +679,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             sections=args.sections,
             quick=args.quick,
             jobs=args.jobs,
-            cache_dir=args.cache,
             store_path=args.store,
             include_volatile=args.timings,
         )

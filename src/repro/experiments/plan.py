@@ -103,8 +103,8 @@ class ExperimentSpec:
     #: dict — ``params={"strategy": "naive"}`` — and read via params_dict())
     params: str = "{}"
     #: engine backend: "message" (per-message oracle kernel, the default) or
-    #: "vectorized" (whole-round numpy engine for large n; sync-only, no
-    #: trace, subset of adversaries — see repro.vec)
+    #: "vectorized" (whole-round numpy engine for large n); what each can
+    #: run is the capability table in repro.backends
     backend: str = "message"
     #: fault schedule as canonical JSON text (construct with a plain dict —
     #: ``faults={"loss_rate": 0.1}`` — and read via faults_schedule());
@@ -162,11 +162,6 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown trace mode {self.trace!r} "
                 f"(expected {', '.join(repr(m) for m in TRACE_MODES)})"
-            )
-        if self.backend not in ("message", "vectorized"):
-            raise ValueError(
-                f"unknown backend {self.backend!r} "
-                f"(expected 'message' or 'vectorized')"
             )
         # Knob names/ranges were checked at construction; the mode-dependent
         # constraints (delay classes are async-only) can only be checked here.

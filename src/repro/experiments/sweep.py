@@ -243,6 +243,36 @@ class SweepResult:
         return [ExperimentRecord.from_dict(r) for r in data.get("records", ())]
 
 
+def serve_plan(
+    specs: Sequence[ExperimentSpec],
+    store: Optional["ResultStore"] = None,
+    seed_records: Optional[Mapping[str, ExperimentRecord]] = None,
+) -> List[Tuple[int, ExperimentRecord, str]]:
+    """The records of a plan that need no execution, as ``(index, record, source)``.
+
+    Store hits come first, from one ``get_many`` over the whole plan
+    (source ``"store"``); then ``--resume`` seeds fill the indices the store
+    missed (source ``"resume"``), and are re-persisted when a store is given.
+    Every executor serves its plan through here before running the rest.
+    """
+    served: List[Tuple[int, ExperimentRecord, str]] = []
+    if store is not None:
+        served = [(i, hit, "store") for i, hit in enumerate(store.get_many(specs)) if hit is not None]
+    if seed_records:
+        from repro.store.keys import spec_key
+
+        done = {index for index, _record, _source in served}
+        resumed = [
+            (index, seed_records[key], "resume")
+            for index, key in enumerate(map(spec_key, specs))
+            if index not in done and key in seed_records
+        ]
+        if store is not None and resumed:
+            store.put_many(record for _index, record, _source in resumed)
+        served += resumed
+    return served
+
+
 def _worker_context():
     """Pick the cheapest available multiprocessing start method."""
     methods = multiprocessing.get_all_start_methods()
@@ -417,37 +447,21 @@ class SweepRunner:
         it arrives — an interrupted sweep therefore resumes by simply
         re-running the same command.  ``seed_records`` (spec-key → record,
         the ``--resume`` file) serves the same way but is not re-persisted
-        unless a store is also given.  ``on_record(index, record,
-        served_from_store)`` fires once per record in completion order —
-        the service's progress/streaming hook.
+        unless a store is also given; both go through :func:`serve_plan`.
+        ``on_record(index, record, served_from_store)`` fires once per
+        record — served ones first, in :func:`serve_plan` order, then fresh
+        ones in completion order — the service's progress/streaming hook.
         """
-        from repro.store.keys import spec_key as _spec_key
-
         specs = self.plan.specs()
         for spec in specs:
             spec.validate()
         start = time.perf_counter()
         records: List[Optional[ExperimentRecord]] = [None] * len(specs)
-        served = 0
-        served_resume = 0
-        if store is not None:
-            for index, hit in enumerate(store.get_many(specs)):
-                if hit is not None:
-                    records[index] = hit
-        if seed_records:
-            for index, spec in enumerate(specs):
-                if records[index] is None:
-                    hit = seed_records.get(_spec_key(spec))
-                    if hit is not None:
-                        records[index] = hit
-                        served_resume += 1
-                        if store is not None:
-                            store.put(hit)
-        for index, record in enumerate(records):
-            if record is not None:
-                served += 1
-                if on_record is not None:
-                    on_record(index, record, True)
+        served = serve_plan(specs, store, seed_records)
+        for index, record, _source in served:
+            records[index] = record
+            if on_record is not None:
+                on_record(index, record, True)
         pending = [(i, spec) for i, spec in enumerate(specs) if records[i] is None]
 
         def finish(index: int, record: ExperimentRecord) -> None:
@@ -464,15 +478,10 @@ class SweepRunner:
             for index, spec in pending:
                 finish(index, execute_spec(spec))
         else:
-            pending_specs = [spec for _, spec in pending]
-            prewarm = _prewarm_args(pending_specs)
+            owner = pool if pool is not None else WorkerPool(processes=jobs)
+            worker_pool = owner.acquire(jobs, _prewarm_args([spec for _, spec in pending]))
             if pool is not None:
-                worker_pool = pool.acquire(jobs, prewarm)
                 jobs = min(pool.size, max(1, len(pending)))
-            else:
-                worker_pool = _worker_context().Pool(
-                    processes=jobs, initializer=_worker_init, initargs=(prewarm,)
-                )
             try:
                 # Track worker Process objects by pid from *before* dispatch:
                 # Pool silently reaps and respawns dead workers, so a crashed
@@ -500,8 +509,7 @@ class SweepRunner:
                             unfinished = [
                                 spec.key for i, spec in pending if records[i] is None
                             ]
-                            if pool is not None:
-                                pool.terminate()
+                            owner.terminate()
                             raise WorkerCrashedError(
                                 f"sweep worker pid {dead[0].pid} died with exit "
                                 f"code {dead[0].exitcode} while "
@@ -517,16 +525,15 @@ class SweepRunner:
                     remaining -= 1
             finally:
                 if pool is None:
-                    worker_pool.terminate()
-                    worker_pool.join()
+                    owner.terminate()
         total_seconds = time.perf_counter() - start
         return SweepResult(
             plan=self.plan,
             records=records,
             total_seconds=total_seconds,
             jobs=jobs,
-            served_from_store=served,
-            served_from_resume=served_resume,
+            served_from_store=len(served),
+            served_from_resume=sum(source == "resume" for _i, _r, source in served),
         )
 
 

@@ -33,6 +33,7 @@ import statistics
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
+from repro.backends import backends_for, check_backend
 from repro.net.results import SimulationResult
 from repro.registry import Registry
 
@@ -248,13 +249,10 @@ class ProtocolAdapter:
         rejected by :meth:`validate` for ``trace != "off"`` rather than
         silently returning untraced results.
     ``supports_backends``
-        Engine backends the adapter can dispatch to.  Every adapter supports
-        ``"message"`` (the per-message oracle kernel); adapters with a
-        vectorized whole-round implementation (see :mod:`repro.vec`) add
-        ``"vectorized"``.  Specs naming an unsupported backend — or
-        combining ``backend="vectorized"`` with async mode, rushing or
-        tracing, none of which the vectorized engines implement — are
-        rejected by :meth:`validate` rather than silently falling back.
+        Engine backends that run the protocol, read from the capability
+        table :data:`repro.backends.BACKENDS` (not declared per adapter).
+        :meth:`validate` rejects a spec the table says its backend cannot
+        run, rather than silently falling back.
     ``supports_faults``
         Whether the adapter honours the spec-level ``faults`` knob (builds a
         :class:`~repro.faults.FaultInjector` and threads it through the
@@ -267,7 +265,6 @@ class ProtocolAdapter:
     params: Mapping[str, object] = {}
     modes: Tuple[str, ...] = ("sync",)
     supports_trace: bool = False
-    supports_backends: Tuple[str, ...] = ("message",)
     supports_faults: bool = False
 
     #: spec knob fields that route into the protocol parameter space; their
@@ -281,6 +278,10 @@ class ProtocolAdapter:
         "wrong_candidate_mode": "random",
         "quorum_multiplier": 2.0,
     }
+
+    @property
+    def supports_backends(self) -> Tuple[str, ...]:
+        return backends_for(self.name)
 
     # ------------------------------------------------------------------
     # validation and parameter resolution
@@ -303,38 +304,11 @@ class ProtocolAdapter:
                 f"protocol {self.name!r} does not support tracing "
                 f"(got trace={spec.trace!r}; only trace='off' is accepted)"
             )
-        if spec.backend not in self.supports_backends:
+        if spec.faults != "{}" and not self.supports_faults:
             raise ValueError(
-                f"protocol {self.name!r} does not support backend "
-                f"{spec.backend!r} (supported: {', '.join(self.supports_backends)})"
+                f"protocol {self.name!r} does not support fault injection "
+                f"(got faults={spec.faults}; only an empty schedule is accepted)"
             )
-        if spec.faults != "{}":
-            if not self.supports_faults:
-                raise ValueError(
-                    f"protocol {self.name!r} does not support fault injection "
-                    f"(got faults={spec.faults}; only an empty schedule is accepted)"
-                )
-            if spec.backend == "vectorized":
-                raise ValueError(
-                    "backend='vectorized' does not implement fault injection; "
-                    "use backend='message' for faulted runs"
-                )
-        if spec.backend == "vectorized":
-            if spec.mode != "sync":
-                raise ValueError(
-                    "backend='vectorized' is synchronous only "
-                    f"(got mode={spec.mode!r}); use backend='message' for async runs"
-                )
-            if spec.rushing:
-                raise ValueError(
-                    "backend='vectorized' does not implement a rushing adversary; "
-                    "use backend='message' for rushing runs"
-                )
-            if spec.trace != "off":
-                raise ValueError(
-                    "backend='vectorized' does not implement trace probes "
-                    f"(got trace={spec.trace!r}); use backend='message' for traced runs"
-                )
         for knob, default in self._KNOB_DEFAULTS.items():
             if knob in self.params:
                 continue
@@ -349,6 +323,17 @@ class ProtocolAdapter:
                     f"unknown parameter {key!r} for protocol {self.name!r} "
                     f"(accepted: {', '.join(sorted(self.params))})"
                 )
+        resolved = self.resolve_params(spec)
+        check_backend(
+            spec.backend,
+            self.name,
+            mode=spec.mode,
+            rushing=spec.rushing,
+            trace=spec.trace != "off",
+            faults=spec.faults != "{}",
+            adversary=str(resolved.get("adversary", "none")),
+            memory_budget=resolved.get("vec_memory_mb") is not None,
+        )
 
     def relax_spec(self, spec: "ExperimentSpec") -> "ExperimentSpec":
         """Drop whatever this protocol does not accept back to the defaults.

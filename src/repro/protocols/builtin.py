@@ -54,7 +54,6 @@ class AERProtocolAdapter(ProtocolAdapter):
     description = "AER almost-everywhere-to-everywhere agreement (the paper's Section 3)"
     modes = ("sync", "async")
     supports_trace = True
-    supports_backends = ("message", "vectorized")
     supports_faults = True
     params = {
         "adversary": "none",
@@ -77,21 +76,6 @@ class AERProtocolAdapter(ProtocolAdapter):
         if spec.mode == "sync" and dict(spec.params_dict()).get("delay_policy"):
             raise ValueError(
                 "delay_policy only applies to mode='async' (sync rounds have no delays)"
-            )
-        if spec.backend == "vectorized":
-            from repro.vec.engine import VEC_ADVERSARIES
-
-            adversary = str(self.resolve_params(spec)["adversary"])
-            if adversary not in VEC_ADVERSARIES:
-                raise ValueError(
-                    f"backend='vectorized' does not support adversary "
-                    f"{adversary!r} (supported: {', '.join(VEC_ADVERSARIES)}); "
-                    "use backend='message'"
-                )
-        elif self.resolve_params(spec)["vec_memory_mb"] is not None:
-            raise ValueError(
-                "vec_memory_mb only applies to backend='vectorized' (the "
-                "message kernel has no chunked working set to budget)"
             )
 
     def run(self, spec) -> RunResult:
@@ -120,43 +104,28 @@ class AERProtocolAdapter(ProtocolAdapter):
             knowledge_fraction=p["knowledge_fraction"],
             wrong_candidate_mode=p["wrong_candidate_mode"],
         )
-        if spec.backend == "vectorized":
-            # validate() already pinned sync mode, no rushing, no trace and a
-            # supported adversary; the vectorized engine resolves the
-            # adversary by name and replays its RNG stream itself.
-            vec_memory_mb = p["vec_memory_mb"]
-            result = run_aer(
-                scenario,
-                config=config,
-                adversary_name=str(p["adversary"]),
-                seed=seed,
-                max_rounds=int(p["max_rounds"]),  # type: ignore[call-overload]
-                backend="vectorized",
-                vec_memory_mb=(
-                    float(vec_memory_mb) if vec_memory_mb is not None else None  # type: ignore[arg-type]
-                ),
-            )
-            return RunResult.from_simulation(
-                self.name, result, _gstring_extras(result, scenario)
-            )
-        samplers = config.shared_samplers()
-        adversary = make_adversary(str(p["adversary"]), scenario, config, samplers)
         trace = collector_for_spec(spec)
+        adversary = None
         if trace is not None:
             trace.mark_string("gstring", scenario.gstring)
+            # built here, not by name inside run_aer, to read its counters below
+            adversary = make_adversary(str(p["adversary"]), scenario, config, config.shared_samplers())
         faults = injector_for_spec(spec)
+        vec_memory_mb = p["vec_memory_mb"]
         result = run_aer(
             scenario,
             config=config,
             adversary=adversary,
+            adversary_name=str(p["adversary"]),
             mode=str(p["mode"]),
             rushing=bool(p["rushing"]),
             seed=seed,
             max_rounds=int(p["max_rounds"]),  # type: ignore[call-overload]
             delay_policy=_resolve_delay_policy(p),
-            samplers=samplers,
             trace=trace,
+            backend=spec.backend,
             faults=faults,
+            vec_memory_mb=float(vec_memory_mb) if vec_memory_mb is not None else None,  # type: ignore[arg-type]
         )
         extras = _gstring_extras(result, scenario)
         if faults is not None:
@@ -334,22 +303,7 @@ class SampleMajorityAdapter(_ScenarioBaselineAdapter):
 
     name = "sample_majority"
     description = "load-balanced sampled-majority baseline (KLST11-style, O~(sqrt n))"
-    supports_backends = ("message", "vectorized")
     params = {**_ScenarioBaselineAdapter.params, "sample_multiplier": 1.0}
-
-    def validate(self, spec) -> None:
-        super().validate(spec)
-        if spec.backend == "vectorized":
-            from repro.vec.majority import VEC_MAJORITY_ADVERSARIES
-
-            adversary = str(self.resolve_params(spec)["adversary"])
-            if adversary not in VEC_MAJORITY_ADVERSARIES:
-                raise ValueError(
-                    f"backend='vectorized' does not support adversary "
-                    f"{adversary!r} for sample_majority "
-                    f"(supported: {', '.join(VEC_MAJORITY_ADVERSARIES)}); "
-                    "use backend='message'"
-                )
 
     def run(self, spec) -> RunResult:
         from repro.baselines.sample_majority import (

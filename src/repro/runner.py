@@ -13,19 +13,13 @@ from typing import Optional
 # Importing the package registers every built-in strategy with the registry.
 import repro.adversary  # noqa: F401
 from repro.adversary.base import Adversary, AdversaryKnowledge
-from repro.adversary.registry import ADVERSARIES, resolve_adversary
+from repro.adversary.registry import resolve_adversary
+from repro.backends import check_backend
 from repro.core.config import AERConfig, SamplerSuite
 from repro.core.scenario import AERScenario, build_aer_nodes, make_scenario
 from repro.net.asynchronous import AsynchronousSimulator, DelayPolicy
 from repro.net.results import SimulationResult
 from repro.net.sync import SynchronousSimulator
-
-#: back-compat alias: the adversary registry's read-only mapping view.  New
-#: strategies are added with ``@repro.adversary.register_adversary("name")``
-#: rather than by mutating this dict; a factory may return ``None`` (the
-#: failure-free run), which is why the value type is ``Optional[Adversary]``.
-ADVERSARY_FACTORIES = ADVERSARIES.mapping
-
 
 def make_adversary(
     name: str,
@@ -78,8 +72,8 @@ def run_aer(
     backend:
         ``"message"`` (this per-message kernel, the oracle) or
         ``"vectorized"`` (the whole-round numpy engine of
-        :mod:`repro.vec` — sync-only, non-rushing, untraced, adversary
-        resolved by name).
+        :mod:`repro.vec`); a request the backend's row of
+        :data:`repro.backends.BACKENDS` cannot run raises ``ValueError``.
     faults:
         Optional :class:`~repro.faults.FaultInjector`, threaded into the
         scheduler; ``None`` (default) is the zero-cost fault-free path.
@@ -91,25 +85,20 @@ def run_aer(
     """
     if config is None:
         config = AERConfig.for_system(scenario.n)
+    if mode not in ("sync", "async"):
+        raise ValueError(f"unknown mode {mode!r} (expected 'sync' or 'async')")
+    check_backend(
+        backend,
+        mode=mode,
+        rushing=rushing,
+        trace=trace is not None,
+        faults=faults is not None,
+        adversary=adversary if adversary is not None else adversary_name or "none",
+        memory_budget=vec_memory_mb is not None,
+    )
     if backend == "vectorized":
         from repro.vec.engine import run_aer_vectorized
 
-        if faults is not None:
-            raise ValueError(
-                "backend='vectorized' does not implement fault injection; "
-                "use backend='message' for faulted runs"
-            )
-        if mode != "sync":
-            raise ValueError("backend='vectorized' is synchronous only")
-        if rushing:
-            raise ValueError("backend='vectorized' does not implement rushing")
-        if trace is not None:
-            raise ValueError("backend='vectorized' does not implement tracing")
-        if adversary is not None:
-            raise ValueError(
-                "backend='vectorized' resolves adversaries by name; pass "
-                "adversary_name instead of a constructed adversary"
-            )
         return run_aer_vectorized(
             scenario,
             config=config,
@@ -117,13 +106,6 @@ def run_aer(
             seed=seed,
             max_rounds=max_rounds,
             memory_mb=vec_memory_mb,
-        )
-    if backend != "message":
-        raise ValueError(f"unknown backend {backend!r} (expected 'message' or 'vectorized')")
-    if vec_memory_mb is not None:
-        raise ValueError(
-            "vec_memory_mb only applies to backend='vectorized'; the message "
-            "kernel has no chunked working set to budget"
         )
     if samplers is None:
         samplers = config.shared_samplers()
@@ -147,7 +129,7 @@ def run_aer(
             trace=trace,
             faults=faults,
         )
-    elif mode == "async":
+    else:
         simulator = AsynchronousSimulator(
             nodes=nodes,
             n=scenario.n,
@@ -158,8 +140,6 @@ def run_aer(
             trace=trace,
             faults=faults,
         )
-    else:
-        raise ValueError(f"unknown mode {mode!r} (expected 'sync' or 'async')")
     return simulator.run()
 
 
@@ -205,36 +185,16 @@ def run_aer_experiment(
         wrong_candidate_mode=wrong_candidate_mode,
         seed=seed,
     )
-    if backend == "vectorized":
-        return run_aer(
-            scenario,
-            config=config,
-            adversary_name=adversary_name,
-            mode=mode,
-            rushing=rushing,
-            seed=seed,
-            max_rounds=max_rounds,
-            backend=backend,
-            faults=faults,
-            vec_memory_mb=vec_memory_mb,
-        )
-    if vec_memory_mb is not None:
-        raise ValueError(
-            "vec_memory_mb only applies to backend='vectorized'; the message "
-            "kernel has no chunked working set to budget"
-        )
-    samplers = config.shared_samplers()
-    adversary = make_adversary(adversary_name, scenario, config, samplers)
     return run_aer(
         scenario,
         config=config,
-        adversary=adversary,
+        adversary_name=adversary_name,
         mode=mode,
         rushing=rushing,
         seed=seed,
         max_rounds=max_rounds,
         delay_policy=delay_policy,
-        samplers=samplers,
         backend=backend,
         faults=faults,
+        vec_memory_mb=vec_memory_mb,
     )

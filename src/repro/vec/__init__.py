@@ -33,13 +33,12 @@ equality against the message kernel on the draw-order-compatible small-``n``
 subset, and cross-seed statistical equivalence (CI overlap) at large ``n``.
 """
 
-from repro.vec.engine import DEFAULT_VEC_MEMORY_MB, VEC_ADVERSARIES, run_aer_vectorized
+from repro.vec.engine import DEFAULT_VEC_MEMORY_MB, run_aer_vectorized
 from repro.vec.majority import run_sample_majority_vectorized
 from repro.vec.tables import VecSamplerTables, prewarm_vec_tables
 
 __all__ = [
     "DEFAULT_VEC_MEMORY_MB",
-    "VEC_ADVERSARIES",
     "VecSamplerTables",
     "prewarm_vec_tables",
     "run_aer_vectorized",

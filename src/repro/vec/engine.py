@@ -32,8 +32,9 @@ temporary is chunked under an explicit byte budget (``vec_memory_mb``):
 
 Equivalence contract (ARCHITECTURE.md "engine backends"):
 
-* on the draw-order-compatible subset — adversaries in
-  :data:`VEC_ADVERSARIES` minus ``cornering*``, synchronous, non-rushing,
+* on the draw-order-compatible subset — the adversaries the ``vectorized``
+  row of :data:`repro.backends.BACKENDS` lists for ``aer``, minus its
+  ``statistical`` ones (``cornering*``) — synchronous, non-rushing,
   ``eager_pull``, no trace — results are **bit-identical** to
   :func:`repro.runner.run_aer` (same ``SimulationResult``, same metrics,
   same decision rounds), pinned by the golden backend tests; the bits are
@@ -44,8 +45,9 @@ Equivalence contract (ARCHITECTURE.md "engine backends"):
   per-bit metrics may differ slightly (agreement/decisions still hold) —
   pinned by the ``python -m repro equivalence --mode statistical``
   CI-overlap harness;
-* everything else (async mode, rushing, tracing, the remaining adversary
-  strategies) is rejected loudly with ``ValueError``.
+* everything else (async mode, rushing, tracing, faults, the remaining
+  adversary strategies) is rejected loudly with ``ValueError`` by
+  :func:`repro.backends.check_backend`.
 
 The deterministic RNG streams are replayed exactly: each correct node's
 private ``derive_rng(seed, "node", i)`` stream is consumed in the same
@@ -57,7 +59,7 @@ through a capture context so its own RNG usage is identical.
 from __future__ import annotations
 
 import statistics
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -65,6 +67,7 @@ import numpy as np
 import repro.adversary  # noqa: F401
 from repro.adversary.base import AdversaryKnowledge
 from repro.adversary.registry import resolve_adversary
+from repro.backends import check_backend
 from repro.core.config import AERConfig
 from repro.core.messages import PollMessage, PullMessage, PushMessage
 from repro.core.scenario import AERScenario
@@ -73,18 +76,6 @@ from repro.net.results import SimulationResult
 from repro.net.rng import derive_rng
 from repro.vec.bitpack import BitMatrix
 from repro.vec.tables import VecSamplerTables, tables_for
-
-#: adversary strategies the vectorized backend can replay.  ``cornering`` and
-#: ``cornering_nodelay`` are statistical-equivalence only (see module docs);
-#: the rest are exact.
-VEC_ADVERSARIES: Tuple[str, ...] = (
-    "none",
-    "silent",
-    "push_flood",
-    "quorum_flood",
-    "cornering",
-    "cornering_nodelay",
-)
 
 #: default per-run temporary-memory budget (MB) when ``vec_memory_mb`` is not
 #: given.  Generous enough that n ≤ 10⁵ runs keep their hot tables unpacked
@@ -938,19 +929,16 @@ def run_aer_vectorized(
     """Run one synchronous AER execution on the vectorized backend.
 
     Mirrors the message kernel's ``run_aer_experiment`` execution semantics
-    (synchronous, non-rushing, eager pull, no trace) for the adversaries in
-    :data:`VEC_ADVERSARIES`; any other combination raises ``ValueError``.
+    (synchronous, non-rushing, eager pull, no trace) for the adversaries the
+    ``vectorized`` row of :data:`repro.backends.BACKENDS` lists for ``aer``;
+    any other adversary raises ``ValueError``.
 
     ``memory_mb`` bounds the engine's temporary working set (the
     ``vec_memory_mb`` spec knob): chunk sizes and the unpacked-table cache
     scale with it, the result bits never depend on it.  ``None`` uses
     :data:`DEFAULT_VEC_MEMORY_MB`.
     """
-    if adversary_name not in VEC_ADVERSARIES:
-        raise ValueError(
-            f"vectorized backend does not support adversary {adversary_name!r}; "
-            f"supported: {', '.join(VEC_ADVERSARIES)}"
-        )
+    check_backend("vectorized", "aer", adversary=adversary_name)
     if config is None:
         config = AERConfig.for_system(scenario.n)
     if tables is None:

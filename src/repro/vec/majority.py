@@ -10,8 +10,10 @@ Python loop over nodes; at ``n = 10**5`` the protocol's ``Θ(n·√n·log n)``
 message complexity dwarfs that loop anyway (AER is the large-``n`` headline,
 this baseline is its foil).
 
-Supported adversaries: ``none`` and ``silent`` (Byzantine nodes simply never
-answer; every other strategy targets AER's quorum machinery and is rejected).
+Supported adversaries: those the ``vectorized`` row of
+:data:`repro.backends.BACKENDS` lists for ``sample_majority`` — ``none`` and
+``silent`` (Byzantine nodes simply never answer; every other strategy
+targets AER's quorum machinery and is rejected).
 """
 
 from __future__ import annotations
@@ -20,15 +22,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.backends import check_backend
 from repro.baselines.sample_majority import SampleMajorityConfig
 from repro.core.scenario import AERScenario
 from repro.net.messages import SizeModel
 from repro.net.results import SimulationResult
 from repro.net.rng import derive_rng
 from repro.vec.engine import _summary_from_arrays
-
-#: adversary strategies the vectorized baseline can replay
-VEC_MAJORITY_ADVERSARIES = ("none", "silent")
 
 #: sorts above every real string id, so the middle element of a sorted
 #: vote row is the majority candidate whenever one exists
@@ -71,11 +71,7 @@ def run_sample_majority_vectorized(
     Mirrors :func:`repro.baselines.sample_majority.run_sample_majority`
     bit-for-bit for the supported adversaries.
     """
-    if adversary_name not in VEC_MAJORITY_ADVERSARIES:
-        raise ValueError(
-            f"vectorized sample_majority does not support adversary "
-            f"{adversary_name!r}; supported: {', '.join(VEC_MAJORITY_ADVERSARIES)}"
-        )
+    check_backend("vectorized", "sample_majority", adversary=adversary_name)
     if config is None:
         config = SampleMajorityConfig.for_system(
             scenario.n, string_length=len(scenario.gstring)

@@ -7,7 +7,9 @@ Three concerns share this file because they gate the same axis:
   RNG draw order (the CI form of the exact acceptance gate; the large-n
   statistical form runs as ``python -m repro equivalence --mode statistical``).
 * **Spec plumbing** — the ``backend`` knob must round-trip through JSON,
-  key-suffix correctly, and reject every unsupported combination loudly.
+  key-suffix correctly, and reject every unsupported combination loudly —
+  with the same message whether the request arrives as a spec or as a
+  direct runner call, because both read the capability table.
 * **CI-overlap statistics** — :meth:`MeanEstimate.overlaps` and
   :func:`distributions_equivalent` are what "statistically equivalent" means
   at sizes where draw orders diverge.
@@ -17,12 +19,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adversary.registry import ADVERSARIES
 from repro.analysis.equivalence import check_exact
 from repro.analysis.statistics import (
     MeanEstimate,
     distributions_equivalent,
     mean_ci,
 )
+from repro.backends import BACKENDS
 from repro.experiments.plan import ExperimentPlan, ExperimentSpec
 from repro.protocols import get_protocol
 from repro.runner import run_aer_experiment
@@ -132,6 +136,94 @@ class TestBackendSpecPlumbing:
             "vectorized",
         )
         assert get_protocol("full_ba").supports_backends == ("message",)
+
+
+def _lacked_capabilities():
+    """``(backend, capability)`` for every capability a backend row lacks."""
+    cases = []
+    for name, row in BACKENDS.items():
+        flags = {
+            "async": "async" in row.modes,
+            "rushing": row.rushing,
+            "trace": row.trace,
+            "faults": row.faults,
+            "vec_memory_mb": row.memory_budget,
+        }
+        cases += [(name, capability) for capability, has in flags.items() if not has]
+        cases += [(name, f"adversary:{protocol}") for protocol in row.adversaries or {}]
+    return cases
+
+
+def _spec_and_runner_call(backend, capability):
+    """The same refused request, once as a spec and once as a runner call."""
+    from repro.core.config import AERConfig
+    from repro.core.scenario import make_scenario
+    from repro.faults import injector_for_spec
+    from repro.runner import run_aer
+    from repro.trace.collector import collector_for_spec
+    from repro.vec.majority import run_sample_majority_vectorized
+
+    n = 48
+    if capability.startswith("adversary:"):
+        protocol = capability.split(":", 1)[1]
+        supported = BACKENDS[backend].adversaries[protocol]
+        adversary = next(name for name in ADVERSARIES.names() if name not in supported)
+        spec = ExperimentSpec(n=n, protocol=protocol, adversary=adversary, backend=backend)
+        if protocol == "aer":
+            return spec, lambda: run_aer_experiment(n, adversary_name=adversary, backend=backend)
+        config = AERConfig.for_system(n)
+        scenario = make_scenario(n, config=config, t=n // 6, seed=0)
+        return spec, lambda: run_sample_majority_vectorized(scenario, adversary_name=adversary)
+    if capability == "trace":
+        spec = ExperimentSpec(n=n, trace="summary", backend=backend)
+        config = AERConfig.for_system(n)
+        scenario = make_scenario(n, config=config, t=n // 6, seed=0)
+        trace = collector_for_spec(spec)
+        return spec, lambda: run_aer(scenario, config=config, trace=trace, backend=backend)
+    spec_kwargs, runner_kwargs = {
+        "async": ({"mode": "async"}, {"mode": "async"}),
+        "rushing": ({"rushing": True}, {"rushing": True}),
+        "faults": ({"faults": {"loss_rate": 0.1}}, {}),
+        "vec_memory_mb": ({"params": {"vec_memory_mb": 8}}, {"vec_memory_mb": 8}),
+    }[capability]
+    spec = ExperimentSpec(n=n, backend=backend, **spec_kwargs)
+    if capability == "faults":
+        runner_kwargs = {"faults": injector_for_spec(spec)}
+    return spec, lambda: run_aer_experiment(n, backend=backend, **runner_kwargs)
+
+
+class TestCapabilityTable:
+    """Every entry point refuses a request with the one message the table generates."""
+
+    @pytest.mark.parametrize("backend,capability", _lacked_capabilities())
+    def test_spec_and_runner_refuse_with_the_same_message(self, backend, capability):
+        spec, runner_call = _spec_and_runner_call(backend, capability)
+        with pytest.raises(ValueError) as from_spec:
+            spec.validate()
+        with pytest.raises(ValueError) as from_runner:
+            runner_call()
+        assert str(from_spec.value) == str(from_runner.value)
+        assert repr(backend) in str(from_spec.value)
+
+    def test_every_listed_capability_gap_is_covered(self):
+        # the vectorized row lacks async, rushing, trace and faults, replays a
+        # subset of adversaries for two protocols; the message row lacks only
+        # the memory budget
+        assert sorted(_lacked_capabilities()) == sorted(
+            [("message", "vec_memory_mb")]
+            + [("vectorized", c) for c in ("async", "rushing", "trace", "faults")]
+            + [("vectorized", "adversary:aer"), ("vectorized", "adversary:sample_majority")]
+        )
+
+    def test_cli_backend_choices_come_from_the_table(self, capsys):
+        from repro.experiments.cli import build_parser
+
+        parser = build_parser()
+        for name in BACKENDS:
+            assert parser.parse_args(["run", "--n", "24", "--backend", name]).backend == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "--n", "24", "--backend", "gpu"])
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestOverlapStatistics:

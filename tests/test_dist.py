@@ -331,16 +331,36 @@ class TestDistributedSweep:
                 r.spec for r in first.records
             ]
 
-    def test_resume_seeds_serve_and_repersist(self, tmp_path):
-        complete = SweepRunner(PLAN, jobs=1).run()
-        seeds = {spec_key(r.spec): r for r in complete.records[:1]}
+    @pytest.mark.parametrize("executor", ["sweep", "distributed"])
+    def test_resume_seeds_serve_and_repersist(self, tmp_path, executor):
+        # one store hit, one resume seed, one miss — both executors serve
+        # through the same serve_plan and must agree on every count
+        plan = ExperimentPlan(ns=(24,), seeds=(3, 4, 5))
+        complete = SweepRunner(plan, jobs=1).run()
+        seeds = {spec_key(complete.records[1].spec): complete.records[1]}
+        events = []
+
+        def on_record(index, _record, served):
+            events.append((index, served))
+
         with ResultStore(str(tmp_path / "s.sqlite")) as store:
-            result = run_distributed_sweep(
-                PLAN, workers=2, store=store, seed_records=seeds, in_process=True
-            )
-            assert result.served_from_store == 1  # combined served count
+            store.put(complete.records[0])
+            if executor == "sweep":
+                result = SweepRunner(plan, jobs=1).run(
+                    store=store, seed_records=seeds, on_record=on_record
+                )
+            else:
+                result = run_distributed_sweep(
+                    plan, workers=2, store=store, seed_records=seeds,
+                    in_process=True, on_record=on_record,
+                )
+            assert result.served_from_store == 2  # combined served count
             assert result.served_from_resume == 1
-            assert store.stats()["records"] == len(PLAN)  # seed re-persisted
+            assert store.stats()["records"] == len(plan)  # seed re-persisted
+        assert events == [(0, True), (1, True), (2, False)]
+        assert json.dumps(result.canonical_dict()) == json.dumps(
+            complete.canonical_dict()
+        )
 
     def test_worker_subprocesses_match_serial(self, tmp_path):
         serial = SweepRunner(PLAN, jobs=1).run()
